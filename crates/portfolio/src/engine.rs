@@ -85,6 +85,22 @@ impl PortfolioEngine {
         )
     }
 
+    /// Dispatch order within a restart batch, heaviest lane first (0 goes
+    /// first): tempering, hier, seqpair, hbtree, deterministic. Starting the
+    /// longest restarts first keeps one long lane from running alone at the
+    /// end of a batch (longest-processing-time-first). Scheduling only: the
+    /// runner reassembles records in plan order.
+    #[must_use]
+    pub fn dispatch_rank(self) -> u8 {
+        match self {
+            PortfolioEngine::Tempering => 0,
+            PortfolioEngine::Hier => 1,
+            PortfolioEngine::SequencePair => 2,
+            PortfolioEngine::HbTree => 3,
+            PortfolioEngine::Deterministic => 4,
+        }
+    }
+
     /// Stable lowercase name used in reports, JSON and the CLI.
     #[must_use]
     pub fn name(self) -> &'static str {

@@ -50,6 +50,10 @@ pub use earlystop::PlateauDetector;
 pub use engine::{
     run_engine_once, run_engine_once_traced, PortfolioEngine, RestartOutcome, RestartSettings,
 };
+/// The shared core budget restart lanes borrow from: a caller that runs
+/// several portfolios at once (the placement daemon) sizes one budget for
+/// all of them and runs each under [`CoreBudget::install`].
+pub use rayon::CoreBudget;
 pub use report::{EngineSummary, PortfolioReport, RestartRecord};
 pub use runner::{
     run_portfolio, run_portfolio_cancellable, run_portfolio_observed, run_portfolio_traced,

@@ -8,7 +8,7 @@ use crate::stats::placement_cost;
 use apls_circuit::benchmarks::BenchmarkCircuit;
 use apls_telemetry::Telemetry;
 use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
+use rayon::{ThreadPool, ThreadPoolBuilder};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -102,7 +102,8 @@ impl std::fmt::Display for Cancelled {
 ///
 /// The restart plan is generated up front ([`PortfolioConfig::generations`]),
 /// executed generation by generation on a rayon pool of `config.threads`
-/// workers, and aggregated in plan order. Every restart is a pure function of
+/// workers (heaviest lane first within a batch), and aggregated in plan
+/// order. Every restart is a pure function of
 /// `(circuit, engine, seed, settings)` and the aggregation never looks at
 /// completion timing, so the report — including early stopping — is
 /// bit-identical across thread counts.
@@ -219,9 +220,7 @@ pub fn run_portfolio_observed(
             }
             return Err(Cancelled);
         }
-        let batch_records: Vec<RestartRecord> = pool.install(|| {
-            batch.into_par_iter().map(|task| execute(circuit, task, config, telemetry)).collect()
-        });
+        let batch_records = run_batch(circuit, batch, config, telemetry, &pool);
         if let Some(observer) = observer {
             for (offset, record) in batch_records.iter().enumerate() {
                 observer.restart_complete(record, records.len() + offset + 1, planned);
@@ -249,6 +248,28 @@ pub fn run_portfolio_observed(
         early_stopped,
         start.elapsed(),
     ))
+}
+
+/// Runs one batch heaviest lane first
+/// ([`crate::PortfolioEngine::dispatch_rank`])
+/// and returns its records in plan order.
+fn run_batch(
+    circuit: &BenchmarkCircuit,
+    batch: Vec<RestartTask>,
+    config: &PortfolioConfig,
+    telemetry: &Telemetry,
+    pool: &ThreadPool,
+) -> Vec<RestartRecord> {
+    let mut dispatch: Vec<(usize, RestartTask)> = batch.into_iter().enumerate().collect();
+    dispatch.sort_by_key(|(index, task)| (task.engine.dispatch_rank(), *index));
+    let mut done: Vec<(usize, RestartRecord)> = pool.install(|| {
+        dispatch
+            .into_par_iter()
+            .map(|(index, task)| (index, execute(circuit, task, config, telemetry)))
+            .collect()
+    });
+    done.sort_by_key(|(index, _)| *index);
+    done.into_iter().map(|(_, record)| record).collect()
 }
 
 /// Runs one scheduled restart and scores it with the uniform cost.

@@ -60,7 +60,7 @@ fn handle_request(mut stream: TcpStream, shared: &Arc<Shared>) {
     };
     match path.as_str() {
         "/metrics" => {
-            shared.refresh_uptime();
+            shared.refresh_gauges();
             let body = shared.metrics.registry.render_prometheus(METRIC_PREFIX);
             respond(&mut stream, 200, "text/plain; version=0.0.4; charset=utf-8", &body);
         }

@@ -62,6 +62,12 @@ pub(crate) struct ServiceMetrics {
     pub write_buffer_high_water: Gauge,
     /// Seconds since the service started (refreshed at snapshot/scrape time).
     pub uptime_seconds: Gauge,
+    /// Cores of the daemon's budget held by solving workers or lent to
+    /// their jobs' restart lanes (sampled at snapshot/scrape time).
+    pub cores_busy: Gauge,
+    /// Idle worker cores ever lent to a running job (sampled at
+    /// snapshot/scrape time).
+    pub cores_lent_total: Counter,
     /// Flight-recorder dumps written to disk (panic, fault trip, or `dump`).
     pub flight_dumps_total: Counter,
     /// Time from request accept (line parsed) to the admission decision —
@@ -109,6 +115,8 @@ impl ServiceMetrics {
             write_buffer_bytes: registry.gauge("write_buffer_bytes"),
             write_buffer_high_water: registry.gauge("write_buffer_high_water_bytes"),
             uptime_seconds: registry.gauge("uptime_seconds"),
+            cores_busy: registry.gauge("cores_busy"),
+            cores_lent_total: registry.counter("cores_lent_total"),
             flight_dumps_total: registry.counter("flight_dumps_total"),
             admit_ms: registry.histogram("admit_ms", LATENCY_MS_BOUNDS),
             queue_ms: registry.histogram("queue_ms", LATENCY_MS_BOUNDS),

@@ -51,7 +51,10 @@ pub struct JobSpec {
     pub hier_anneal_threshold: Option<usize>,
     /// Plateau early-stop window.
     pub plateau: Option<usize>,
-    /// Rayon threads *within* the job (default 1).
+    /// Cap on the threads the job may use at once, its worker's own
+    /// included (see [`JobSpec::core_cap`]). Absent or `0`: no cap — the job
+    /// borrows every core of the daemon its peers leave idle. Scheduling
+    /// only: never changes the report.
     pub threads: Option<usize>,
     /// Per-job deadline in milliseconds, measured from enqueue. Checked
     /// cooperatively between restarts; an expired job answers
@@ -334,8 +337,8 @@ impl JobSpec {
 
     /// Resolves the spec into a full portfolio configuration rooted at
     /// `seed`. Defaults match [`PortfolioConfig::default`] except `threads`,
-    /// which defaults to 1: job-level parallelism belongs to the service's
-    /// worker pool, not to rayon inside one job.
+    /// which defaults to 1: the serial reference run. The daemon widens it
+    /// to [`JobSpec::core_cap`] when a worker dispatches the job.
     #[must_use]
     pub fn resolved_config(&self, seed: u64) -> PortfolioConfig {
         let mut config = PortfolioConfig::new(seed).with_threads(self.threads.unwrap_or(1));
@@ -358,6 +361,16 @@ impl JobSpec {
             config = config.with_early_stop(EarlyStop::after(p));
         }
         config
+    }
+
+    /// How many of a daemon's `cores` the job may use at once: `threads`
+    /// caps it, and an absent or zero `threads` leaves it uncapped.
+    #[must_use]
+    pub fn core_cap(&self, cores: usize) -> usize {
+        match self.threads {
+            Some(threads) if threads > 0 => threads.min(cores),
+            _ => cores,
+        }
     }
 
     /// Canonical string of every *result-relevant* configuration field.

@@ -46,7 +46,8 @@ use apls_anneal::rng::SeedStream;
 use apls_circuit::benchmarks::{self, BenchmarkCircuit};
 use apls_io::{canonical_hash, serialize_circuit};
 use apls_portfolio::{
-    run_portfolio_observed, CancelToken, PortfolioConfig, RestartObserver, RestartRecord,
+    run_portfolio_observed, CancelToken, CoreBudget, PortfolioConfig, RestartObserver,
+    RestartRecord,
 };
 use apls_telemetry::{FlightRecorder, Telemetry};
 use std::collections::VecDeque;
@@ -212,7 +213,12 @@ struct Job {
     /// Arrival-order job index (the envelope's `id`, the journal's `index`).
     index: u64,
     circuit: BenchmarkCircuit,
+    /// The resolved, serial-by-default configuration; the worker widens it
+    /// to `width` at dispatch.
     config: PortfolioConfig,
+    /// Threads the solve may use at once, its own included
+    /// ([`JobSpec::core_cap`]).
+    width: usize,
     cache_key: CacheKey,
     /// Cooperative deadline; an expired job answers `timeout`.
     deadline: Option<Instant>,
@@ -335,6 +341,9 @@ pub(crate) struct Shared {
     pub(crate) fault: Option<Arc<FaultPlan>>,
     pub(crate) telemetry: Telemetry,
     pub(crate) metrics: ServiceMetrics,
+    /// The daemon's cores, one per worker: a solving worker holds one, and
+    /// its job's restart lanes borrow the idle ones (DESIGN.md §6.1).
+    cores: CoreBudget,
     /// The always-on flight recorder (absent when `flight_recorder == 0`).
     pub(crate) recorder: Option<Arc<FlightRecorder>>,
     /// True while the journal-recovery replay thread is still re-enqueueing
@@ -418,11 +427,14 @@ impl Shared {
         (true, "ready")
     }
 
-    /// Uptime in whole seconds, refreshing the gauge as a side effect so
-    /// both `stats` snapshots and `/metrics` scrapes see a current value.
-    pub(crate) fn refresh_uptime(&self) -> u64 {
+    /// Uptime in whole seconds, refreshing the sampled gauges (uptime and
+    /// the core budget) as a side effect so both `stats` snapshots and
+    /// `/metrics` scrapes see current values.
+    pub(crate) fn refresh_gauges(&self) -> u64 {
         let uptime = self.started.elapsed().as_secs();
         self.metrics.uptime_seconds.set(uptime as i64);
+        self.metrics.cores_busy.set(self.cores.busy() as i64);
+        self.metrics.cores_lent_total.raise_to(self.cores.lent_total());
         uptime
     }
 }
@@ -572,6 +584,7 @@ impl PlacementService {
             fault,
             telemetry,
             metrics: ServiceMetrics::new(),
+            cores: CoreBudget::new(config.workers),
             recorder,
             recovery_pending: AtomicBool::new(false),
             #[cfg(unix)]
@@ -754,6 +767,7 @@ fn replay_recovered_jobs(
                 pending.push(Job {
                     index: job.index,
                     config: job.spec.resolved_config(job.seed),
+                    width: job.spec.core_cap(shared.config.workers),
                     circuit,
                     cache_key,
                     deadline: None,
@@ -1010,6 +1024,9 @@ fn execute_job(job: &Job, shared: &Shared, queue_ms: f64) -> Result<(String, boo
     if let Some(delay) = shared.config.job_delay {
         std::thread::sleep(delay);
     }
+    // This worker's own core, held while it solves (released on unwind
+    // too); whatever the budget has left idle, the job's lanes may borrow.
+    let _core = shared.cores.hold();
     let solved = catch_unwind(AssertUnwindSafe(|| {
         if shared.fault.as_ref().is_some_and(|plan| plan.panic_on_job(job.index)) {
             panic!("fault injection: worker panic on job {}", job.index);
@@ -1024,8 +1041,12 @@ fn execute_job(job: &Job, shared: &Shared, queue_ms: f64) -> Result<(String, boo
         let cancel = job.deadline.map_or_else(CancelToken::none, CancelToken::with_deadline);
         let relay = ProgressRelay { respond: &job.respond, index: job.index };
         let observer = job.streaming.then_some(&relay as &dyn RestartObserver);
-        let result =
-            run_portfolio_observed(&job.circuit, &job.config, &shared.telemetry, &cancel, observer);
+        // Widening never changes the body: restarts are pure functions of
+        // their seeds and the runner aggregates in plan order.
+        let config = job.config.clone().with_threads(job.width);
+        let result = shared.cores.install(|| {
+            run_portfolio_observed(&job.circuit, &config, &shared.telemetry, &cancel, observer)
+        });
         if span.is_recording() {
             span.arg("queue_ms", queue_ms);
             span.arg("timed_out", result.is_err());
@@ -1328,7 +1349,7 @@ pub(crate) fn stats_response(shared: &Shared) -> String {
         let cache = lock_or_recover(&shared.cache);
         (cache.stats(), cache.len())
     };
-    let uptime_seconds = shared.refresh_uptime();
+    let uptime_seconds = shared.refresh_gauges();
     let (ready, _) = shared.is_ready();
     format!(
         "{{\"status\":\"ok\",\"mode\":{},\"workers\":{},\"queue_capacity\":{},\"cache_capacity\":{},\"jobs_completed\":{},\"cache_hits\":{},\"cache_entries\":{},\"uptime_ms\":{:.0},\"uptime_seconds\":{},\"ready\":{},\"queue_depth\":{},\"in_flight\":{},\"connections\":{},\"telemetry_enabled\":{},\"journal_enabled\":{},\"poison_recoveries\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"insertions\":{},\"evictions\":{},\"entries\":{},\"capacity\":{}}},\"metrics\":{}}}",
@@ -1455,6 +1476,7 @@ pub(crate) fn admit_place(
         index,
         circuit,
         config,
+        width: spec.core_cap(shared.config.workers),
         cache_key,
         deadline,
         enqueued: Instant::now(),

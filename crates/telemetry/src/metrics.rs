@@ -33,6 +33,12 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Raises the counter to `v` if it is below: mirrors a monotonic count
+    /// kept elsewhere without double-counting concurrent refreshes.
+    pub fn raise_to(&self, v: u64) {
+        self.0.fetch_max(v, Ordering::Relaxed);
+    }
+
     /// Current value.
     #[must_use]
     pub fn get(&self) -> u64 {

@@ -164,7 +164,7 @@ fn serve_command() -> Command {
                 .long("workers")
                 .value_name("N")
                 .default_value("0")
-                .help("Placement worker threads (0 = one per core)"),
+                .help("Placement workers, and the cores their jobs share (0 = one per core)"),
         )
         .arg(
             Arg::new("queue")
@@ -332,7 +332,7 @@ fn submit_command() -> Command {
                 .long("threads")
                 .short('t')
                 .value_name("N")
-                .help("Rayon threads inside the job (service default: 1)"),
+                .help("Cap on the daemon cores the job may use at once (default: no cap)"),
         )
         .arg(
             Arg::new("fast")
