@@ -14,13 +14,19 @@ use apls_btree::{
 use apls_circuit::benchmarks::{self, GeneratorConfig};
 use apls_circuit::{DeltaCost, ModuleId, Placement};
 use apls_geometry::{Contour, Orientation, Rect};
-use apls_seqpair::{SeqPairPlacer, SeqPairPlacerConfig};
+use apls_seqpair::{
+    SeqPairPlacer, SeqPairPlacerConfig, TemperingPlacerConfig, TemperingSeqPairPlacer,
+};
 use apls_telemetry::{RecordingCollector, Telemetry};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Moves budget of the end-to-end engine benches; moves/sec = MOVES / time.
 const MOVES: u64 = 2000;
+
+/// Interleaved run pairs behind the `calibrated_ratio` line.
+const RATIO_PAIRS: usize = 61;
 
 fn bench_contour_place(c: &mut Criterion) {
     let mut group = c.benchmark_group("contour_place");
@@ -180,7 +186,60 @@ fn bench_engine_moves(c: &mut Criterion) {
             });
         },
     );
+    // The seqpair and tempering lanes on folded_cascode, where the
+    // islands-first area bound settles most legalisations (comparator_v2
+    // above is the control: the bound never fires there). The tempering
+    // budget applies per replica (4 replicas, so 8000 moves per iteration),
+    // and replica rounds run on the default core budget.
+    let cascode = benchmarks::folded_cascode();
+    group.bench_with_input(BenchmarkId::new("seqpair_2000", cascode.module_count()), &0, |b, _| {
+        let config = SeqPairPlacerConfig { seed: 3, schedule, ..SeqPairPlacerConfig::default() };
+        let placer = SeqPairPlacer::new(&cascode.netlist, &cascode.constraints);
+        b.iter(|| placer.run(&config));
+    });
+    group.bench_with_input(
+        BenchmarkId::new("tempering_2000", cascode.module_count()),
+        &0,
+        |b, _| {
+            let config =
+                TemperingPlacerConfig { seed: 3, schedule, ..TemperingPlacerConfig::default() };
+            let placer = TemperingSeqPairPlacer::new(&cascode.netlist, &cascode.constraints);
+            b.iter(|| placer.run(&config));
+        },
+    );
     group.finish();
+}
+
+/// The same-run ratio `tools/bench_threshold.py --ratio` gates:
+/// `engine_moves/seqpair_2000/10` over `engine_moves/flat_btree_2000/10`
+/// (same circuit, schedule, seed and move budget through the B*-tree engine).
+/// The two runs alternate and each pair yields one ratio, so a machine whose
+/// speed drifts from one second to the next slows both sides of a pair alike;
+/// the printed value is the median over the pairs.
+fn bench_calibrated_ratio(_c: &mut Criterion) {
+    let schedule = Schedule::geometric(1e6, 1.0, 0.95, 200).with_max_moves(MOVES);
+    let circuit = benchmarks::comparator_v2();
+    let seqpair = SeqPairPlacer::new(&circuit.netlist, &circuit.constraints);
+    let seqpair_config =
+        SeqPairPlacerConfig { seed: 3, schedule, ..SeqPairPlacerConfig::default() };
+    let flat = BTreePlacer::new(&circuit.netlist, &circuit.constraints);
+    let flat_config = HbTreePlacerConfig { seed: 3, schedule, ..HbTreePlacerConfig::default() };
+    let mut ratios: Vec<f64> = (0..RATIO_PAIRS)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(seqpair.run(&seqpair_config));
+            let seqpair_s = start.elapsed().as_secs_f64();
+            let start = Instant::now();
+            black_box(flat.run(&flat_config));
+            seqpair_s / start.elapsed().as_secs_f64()
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    println!(
+        "calibrated_ratio/seqpair_over_flat_btree/{}: {:.4}",
+        circuit.module_count(),
+        ratios[RATIO_PAIRS / 2]
+    );
 }
 
 criterion_group!(
@@ -188,6 +247,7 @@ criterion_group!(
     bench_contour_place,
     bench_pack_btree,
     bench_delta_eval,
-    bench_engine_moves
+    bench_engine_moves,
+    bench_calibrated_ratio
 );
 criterion_main!(benches);

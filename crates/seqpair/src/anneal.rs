@@ -12,14 +12,14 @@
 //!   with the symmetry error added to the cost function, the classical
 //!   alternative the paper argues against.
 
-use crate::hot::{HotMode, HotSpEval};
+use crate::hot::{HotMode, HotSpEval, LegaliseCounts};
 use crate::place::SymmetricPlacer;
 use crate::seq::SpUndoLog;
 use crate::symmetry::{canonical_symmetric_feasible, SymmetricMoveSet};
 use crate::SequencePair;
 use apls_anneal::{AnnealState, AnnealStats, Annealer, Schedule};
 use apls_circuit::{ConstraintSet, ModuleId, Netlist, Placement, PlacementMetrics};
-use apls_telemetry::Telemetry;
+use apls_telemetry::{event, Telemetry};
 use rand::{Rng, RngCore};
 
 /// How symmetry constraints are handled during annealing.
@@ -165,6 +165,7 @@ impl<'a> SeqPairPlacer<'a> {
         let mut state = self.make_state(config);
         let stats =
             Annealer::with_seed(config.seed).run_traced(&mut state, &config.schedule, telemetry);
+        emit_legalise_counts(telemetry, state.legalise_counts());
 
         // Prefer the best snapshot over the final accepted state.
         let (best_sp, _) = state.best.clone().unwrap_or((state.sp.clone(), f64::MAX));
@@ -203,7 +204,25 @@ pub(crate) struct SpState<'a> {
     last_kind: &'static str,
 }
 
+/// Emits one `seqpair/legalise` event with the evaluator's work counters.
+pub(crate) fn emit_legalise_counts(telemetry: &Telemetry, counts: LegaliseCounts) {
+    event!(
+        telemetry,
+        "seqpair",
+        "legalise",
+        evaluations = counts.evaluations,
+        bound_prunes = counts.bound_prunes,
+        tighten_passes = counts.tighten_passes,
+        repacks = counts.repacks,
+    );
+}
+
 impl SpState<'_> {
+    /// Work counters of this state's hot evaluator (observe-only).
+    pub(crate) fn legalise_counts(&self) -> LegaliseCounts {
+        self.hot.counts()
+    }
+
     pub(crate) fn build_placement(&self, sp: &SequencePair) -> Placement {
         match self.config.symmetry_mode {
             SymmetryMode::Exact => self.placer.place(sp),

@@ -23,6 +23,16 @@
 //!   island internal geometry (and its local bounding box) is computed once
 //!   per run and cached, and the per-member island assembly is deferred until
 //!   a move actually selects the island construction;
+//! * the islands are packed *first*: a bounded repack keeps every
+//!   constraint-graph relation of the sequence pair, so the iterative result
+//!   is at least as wide and as tall as the plain pack, and whenever the
+//!   plain pack's area already exceeds the islands' the decision is settled
+//!   without running the tightening loop at all;
+//! * each bounded repack replays only the window a tightening pass can have
+//!   changed: bounds are only ever raised above a module's current
+//!   coordinate, so the x sweep restarts at the first raised α position and
+//!   the y sweep at the last one, with the untouched prefix seeded from the
+//!   current coordinates (the same trick as the base-pack resweep);
 //! * wirelength is evaluated through [`DeltaCost`], which recomputes only
 //!   the nets incident to modules whose final coordinates actually changed.
 //!
@@ -147,6 +157,29 @@ pub(crate) enum HotMode {
     },
 }
 
+/// Work counters of [`HotSpEval`]. Observe-only: no decision reads them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct LegaliseCounts {
+    /// Proposals scored.
+    pub(crate) evaluations: u64,
+    /// Legalisations the area bound settled for the islands without running
+    /// the tightening loop.
+    pub(crate) bound_prunes: u64,
+    /// Tightening passes run.
+    pub(crate) tighten_passes: u64,
+    /// Bounded repacks run.
+    pub(crate) repacks: u64,
+}
+
+impl std::ops::AddAssign for LegaliseCounts {
+    fn add_assign(&mut self, other: Self) {
+        self.evaluations += other.evaluations;
+        self.bound_prunes += other.bound_prunes;
+        self.tighten_passes += other.tighten_passes;
+        self.repacks += other.repacks;
+    }
+}
+
 /// Allocation-free, incrementally updated evaluator for the sequence-pair
 /// annealing loop.
 #[derive(Debug, Clone)]
@@ -189,6 +222,8 @@ pub(crate) struct HotSpEval<'a> {
     // final (post-decision) coordinates of the open proposal
     fx: Vec<Coord>,
     fy: Vec<Coord>,
+
+    counts: LegaliseCounts,
 }
 
 impl<'a> HotSpEval<'a> {
@@ -250,8 +285,14 @@ impl<'a> HotSpEval<'a> {
             isl_y: vec![0; n],
             fx: vec![0; n],
             fy: vec![0; n],
+            counts: LegaliseCounts::default(),
             dims,
         }
+    }
+
+    /// Work done so far (observe-only).
+    pub(crate) fn counts(&self) -> LegaliseCounts {
+        self.counts
     }
 
     /// Evaluates one proposal. `touched` lists the modules whose α/β
@@ -260,6 +301,7 @@ impl<'a> HotSpEval<'a> {
     pub(crate) fn evaluate(&mut self, sp: &SequencePair, touched: Option<&[ModuleId]>) -> f64 {
         let n = self.n;
         debug_assert_eq!(sp.len(), n);
+        self.counts.evaluations += 1;
         if n == 0 {
             self.delta.begin();
             let wl = self.delta.total();
@@ -324,9 +366,11 @@ impl<'a> HotSpEval<'a> {
         }
 
         let mut plain_width: Coord = 0;
+        let mut plain_height: Coord = 0;
         for &m in sp.alpha() {
             let i = m.index();
             plain_width = plain_width.max(self.prop.x0[i] + self.dims[i].w);
+            plain_height = plain_height.max(self.prop.y0[i] + self.dims[i].h);
         }
 
         // --- 2. symmetry handling -------------------------------------------
@@ -346,7 +390,7 @@ impl<'a> HotSpEval<'a> {
                     self.fx.copy_from_slice(&self.prop.x0);
                     self.fy.copy_from_slice(&self.prop.y0);
                 } else {
-                    self.legalise(sp, plain_width);
+                    self.legalise(sp, plain_width, plain_height);
                 }
                 self.hot_cost(sp)
             }
@@ -382,17 +426,58 @@ impl<'a> HotSpEval<'a> {
     /// Replays `SymmetricPlacer::place` exactly: iterative tightening with
     /// bounded repacks, divergence guard, island fallback, compactness
     /// decision. Leaves the chosen coordinates in `fx`/`fy`.
-    fn legalise(&mut self, sp: &SequencePair, plain_width: Coord) {
+    ///
+    /// The islands are packed first. The plain pack starts at the origin, so
+    /// its extents are the longest horizontal and vertical constraint-graph
+    /// chains; every bounded repack keeps those relations, so the iterative
+    /// result can be no narrower and no shorter. When the plain area already
+    /// exceeds the islands' area, the iterative result would lose the
+    /// compactness comparison (or not converge), and the tightening loop is
+    /// skipped.
+    fn legalise(&mut self, sp: &SequencePair, plain_width: Coord, plain_height: Coord) {
+        self.build_outer(sp);
+        let islands_area = self.islands_bbox_area();
+        let use_iterative = if i128::from(plain_width) * i128::from(plain_height) > islands_area {
+            self.counts.bound_prunes += 1;
+            // Cross-check the bound against the loop it skips; the counters
+            // describe the release path, so the replay leaves them alone.
+            #[cfg(debug_assertions)]
+            {
+                let counts = self.counts;
+                let converged = self.tighten(sp, plain_width);
+                debug_assert!(
+                    !self.iterative_wins(sp, converged, islands_area),
+                    "area bound skipped a legalisation the tightening loop would have won"
+                );
+                self.counts = counts;
+            }
+            false
+        } else {
+            let converged = self.tighten(sp, plain_width);
+            self.iterative_wins(sp, converged, islands_area)
+        };
+        if use_iterative {
+            self.fx.copy_from_slice(&self.xi);
+            self.fy.copy_from_slice(&self.yi);
+        } else {
+            self.assemble_islands();
+            self.fx.copy_from_slice(&self.isl_x);
+            self.fy.copy_from_slice(&self.isl_y);
+        }
+    }
+
+    /// The iterative legalisation of `SymmetricPlacer::place` from the base
+    /// pack into `xi`/`yi`; returns whether it converged.
+    fn tighten(&mut self, sp: &SequencePair, plain_width: Coord) -> bool {
         let n = self.n;
-        // iterative legalisation from the base pack
         self.bounds.min_x.clear();
         self.bounds.min_x.resize(self.dims.len(), 0);
         self.bounds.min_y.clear();
         self.bounds.min_y.resize(self.dims.len(), 0);
         self.xi.copy_from_slice(&self.prop.x0[..n]);
         self.yi.copy_from_slice(&self.prop.y0[..n]);
-        let mut converged = false;
         for it in 0..self.max_iterations {
+            self.counts.tighten_passes += 1;
             let mut changed = false;
             for group in self.constraints.symmetry_groups() {
                 let xi = &self.xi;
@@ -413,15 +498,13 @@ impl<'a> HotSpEval<'a> {
                 );
             }
             if !changed {
-                converged = true;
-                break;
+                return true;
             }
             let (width, moved) = self.repack_with_bounds(sp);
             // Divergence guard: crossed-pair encodings can keep pushing each
             // other's mirror targets (see `SymmetricPlacer::place`).
             if width > 3 * plain_width.max(1) {
-                converged = false;
-                break;
+                return false;
             }
             // Tightening targets are a function of the coordinates alone, so a
             // repack that reproduced the current coordinates cannot raise any
@@ -429,61 +512,80 @@ impl<'a> HotSpEval<'a> {
             // Skipping that verification pass is exact as long as the cold
             // loop would still have had an iteration left to run it in.
             if !moved && it + 1 < self.max_iterations {
-                converged = true;
-                break;
+                return true;
             }
         }
-
-        // island construction (the outer pack is always computed, exactly
-        // like the cold path; the per-member assembly is deferred until the
-        // decision actually selects the islands)
-        self.build_outer(sp);
-
-        let use_iterative = converged
-            && self.symmetry_error_of(sp, SymmetrySource::Iterative) == 0
-            && self.bbox_area(sp, &self.xi, &self.yi) <= self.islands_bbox_area();
-        if use_iterative {
-            self.fx.copy_from_slice(&self.xi);
-            self.fy.copy_from_slice(&self.yi);
-        } else {
-            self.assemble_islands();
-            self.fx.copy_from_slice(&self.isl_x);
-            self.fy.copy_from_slice(&self.isl_y);
-        }
+        false
     }
 
-    /// Full bounded weighted-LCS repack into `xi`/`yi`; returns the packed
-    /// width and whether any coordinate differs from the previous `xi`/`yi`.
+    /// The compactness decision of `SymmetricPlacer::place`: keep the
+    /// iterative result only if it converged to an exact mirror placement no
+    /// larger than the islands.
+    fn iterative_wins(&self, sp: &SequencePair, converged: bool, islands_area: i128) -> bool {
+        converged
+            && self.symmetry_error_of(sp, SymmetrySource::Iterative) == 0
+            && self.bbox_area(sp, &self.xi, &self.yi) <= islands_area
+    }
+
+    /// Bounded weighted-LCS repack into `xi`/`yi`; returns the packed width
+    /// and whether any coordinate differs from the previous `xi`/`yi`.
     /// Identical coordinates to `pack_with_bounds_constraint_graph` (same
     /// recurrence — see `pack_with_bounds_lcs`).
+    ///
+    /// `xi`/`yi` hold the previous repack (or the base pack), and a
+    /// tightening pass raises a bound only above its module's current
+    /// coordinate; every other module already sits at or above its bound. So
+    /// the x sweep reproduces `xi` up to the first α position whose bound
+    /// exceeds its coordinate and replays from there, with the prefix seeded
+    /// from `xi + w`; the reverse-α y sweep likewise replays down from the
+    /// last such position. An axis with no raised bound is already exact.
     fn repack_with_bounds(&mut self, sp: &SequencePair) -> (Coord, bool) {
+        self.counts.repacks += 1;
         let n = self.n;
-        self.sweep.begin(n);
-        self.sweep.finish_seeding();
+        let alpha = sp.alpha();
         let mut width: Coord = 0;
         let mut moved = false;
         // `prop.bp` already holds every module's β-position for this proposal
         // (written by the base-pack resweep, prefix copied from the committed
         // buffer), so the per-module β lookups can be plain array reads.
-        for (k, &m) in sp.alpha().iter().enumerate() {
-            let i = m.index();
-            let bp = self.prop.bp[k];
-            let start = self.bounds.min_x[i].max(self.sweep.prefix_max(bp));
-            moved |= self.xi[i] != start;
-            self.xi[i] = start;
-            let top = start + self.dims[i].w;
-            width = width.max(top);
-            self.sweep.update(bp, top);
-        }
+        let raised_x = |m: &ModuleId| self.bounds.min_x[m.index()] > self.xi[m.index()];
+        let s_min = alpha.iter().position(raised_x).unwrap_or(n);
         self.sweep.begin(n);
-        self.sweep.finish_seeding();
-        for (k, &m) in sp.alpha().iter().enumerate().rev() {
+        for (k, &m) in alpha[..s_min].iter().enumerate() {
             let i = m.index();
-            let bp = self.prop.bp[k];
-            let start = self.bounds.min_y[i].max(self.sweep.prefix_max(bp));
-            moved |= self.yi[i] != start;
-            self.yi[i] = start;
-            self.sweep.update(bp, start + self.dims[i].h);
+            let top = self.xi[i] + self.dims[i].w;
+            width = width.max(top);
+            self.sweep.seed(self.prop.bp[k], top);
+        }
+        if s_min < n {
+            self.sweep.finish_seeding();
+            for (k, &m) in alpha.iter().enumerate().skip(s_min) {
+                let i = m.index();
+                let bp = self.prop.bp[k];
+                let start = self.bounds.min_x[i].max(self.sweep.prefix_max(bp));
+                moved |= self.xi[i] != start;
+                self.xi[i] = start;
+                let top = start + self.dims[i].w;
+                width = width.max(top);
+                self.sweep.update(bp, top);
+            }
+        }
+        let raised_y = |m: &ModuleId| self.bounds.min_y[m.index()] > self.yi[m.index()];
+        if let Some(s_max) = alpha.iter().rposition(raised_y) {
+            self.sweep.begin(n);
+            for (k, &m) in alpha.iter().enumerate().skip(s_max + 1) {
+                let i = m.index();
+                self.sweep.seed(self.prop.bp[k], self.yi[i] + self.dims[i].h);
+            }
+            self.sweep.finish_seeding();
+            for (k, &m) in alpha.iter().enumerate().take(s_max + 1).rev() {
+                let i = m.index();
+                let bp = self.prop.bp[k];
+                let start = self.bounds.min_y[i].max(self.sweep.prefix_max(bp));
+                moved |= self.yi[i] != start;
+                self.yi[i] = start;
+                self.sweep.update(bp, start + self.dims[i].h);
+            }
         }
         (width, moved)
     }
@@ -708,7 +810,11 @@ enum SymmetrySource {
 mod proptests {
     use super::*;
     use crate::pack::pack_lcs;
-    use apls_circuit::{Module, Netlist};
+    use crate::place::SymmetricPlacer;
+    use crate::seq::SpUndoLog;
+    use crate::symmetry::{canonical_symmetric_feasible, SymmetricMoveSet};
+    use apls_anneal::rng::SeededRng;
+    use apls_circuit::{Module, Netlist, SymmetryGroup};
     use proptest::prelude::*;
 
     fn id(i: usize) -> ModuleId {
@@ -886,5 +992,175 @@ mod proptests {
                 }
             }
         }
+
+        /// With symmetry groups present, the Exact-mode evaluator — islands
+        /// first, area bound, windowed bounded repacks — reproduces the cold
+        /// `SymmetricPlacer::place` coordinates and its `hot_cost` exactly,
+        /// after arbitrary accepted/rejected swaps, symmetric-feasible moves
+        /// and rotations of free modules, from arbitrary or canonical
+        /// symmetric-feasible encodings.
+        #[test]
+        fn exact_legalisation_matches_the_cold_placer(
+            (case, script) in arb_symmetric_case()
+        ) {
+            let SymCase { mut dims, constraints, alpha, beta, canonical } = case;
+            let n = dims.len();
+            let netlist = chain_netlist(&dims);
+            let adjacency = NetAdjacency::new(&netlist);
+            let mut sp = if canonical {
+                canonical_symmetric_feasible(&(0..n).map(id).collect::<Vec<_>>(), &constraints)
+            } else {
+                SequencePair::from_sequences(alpha, beta).expect("same module set")
+            };
+            let free: Vec<usize> =
+                (0..n).filter(|&i| constraints.symmetry_group_of(id(i)).is_none()).collect();
+            let moves = SymmetricMoveSet::new(constraints.clone());
+            let mut undo = SpUndoLog::default();
+
+            let mut eval =
+                HotSpEval::new(&constraints, dims.clone(), adjacency.clone(), &sp, HotMode::Exact, 0.5);
+            let check = |eval: &HotSpEval<'_>, cost: f64, sp: &SequencePair, dims: &[Dims]| {
+                let placement =
+                    SymmetricPlacer::new(&netlist, &constraints).with_dims(dims.to_vec()).place(sp);
+                prop_assert_eq!(cost, placement.hot_cost(&adjacency, 0.5));
+                for i in 0..n {
+                    let r = placement.get(id(i)).expect("placed").rect;
+                    prop_assert_eq!((eval.fx[i], eval.fy[i]), (r.x_min, r.y_min), "module {}", i);
+                }
+            };
+
+            let cost = eval.evaluate(&sp, None);
+            check(&eval, cost, &sp, &dims);
+
+            for (step, accept) in script {
+                let touched: Option<Vec<ModuleId>> = match step {
+                    SymStep::Swap(i, j) => {
+                        let (a, b) = (sp.alpha()[i % n], sp.alpha()[j % n]);
+                        sp.swap_in_alpha(i % n, j % n);
+                        let (bi, bj) = (sp.beta_position(a), sp.beta_position(b));
+                        sp.swap_in_beta(bi, bj);
+                        Some(vec![a, b])
+                    }
+                    SymStep::SfMove(seed) => {
+                        let mut rng = SeededRng::new(seed);
+                        moves.perturb_logged_kind(&mut sp, &mut rng, &mut undo);
+                        let mut touched = Vec::new();
+                        undo.touched_modules(&sp, &mut touched);
+                        Some(touched)
+                    }
+                    // Island geometry is cached per run from the member dims
+                    // (the annealer never rotates), so only free modules turn.
+                    SymStep::RotateFree(k) => {
+                        if let Some(&i) = free.get(k % free.len().max(1)) {
+                            dims[i] = Dims::new(dims[i].h, dims[i].w);
+                            eval.dims[i] = dims[i];
+                        }
+                        None
+                    }
+                };
+
+                let cost = eval.evaluate(&sp, touched.as_deref());
+                check(&eval, cost, &sp, &dims);
+
+                if accept {
+                    eval.commit();
+                } else {
+                    eval.rollback();
+                    match step {
+                        SymStep::Swap(i, j) => {
+                            let (a, b) = (sp.alpha()[i % n], sp.alpha()[j % n]);
+                            sp.swap_in_alpha(i % n, j % n);
+                            let (bi, bj) = (sp.beta_position(a), sp.beta_position(b));
+                            sp.swap_in_beta(bi, bj);
+                        }
+                        SymStep::SfMove(_) => sp.undo(&mut undo),
+                        SymStep::RotateFree(k) => {
+                            if let Some(&i) = free.get(k % free.len().max(1)) {
+                                dims[i] = Dims::new(dims[i].h, dims[i].w);
+                                eval.dims[i] = dims[i];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// One scripted perturbation for the legalisation proptest.
+    #[derive(Debug, Clone, Copy)]
+    enum SymStep {
+        /// Swap two modules (picked by α position) in both sequences.
+        Swap(usize, usize),
+        /// One symmetric-feasible move of [`SymmetricMoveSet`], seeded.
+        SfMove(u64),
+        /// Rotate the k-th module outside every symmetry group.
+        RotateFree(usize),
+    }
+
+    /// A circuit with symmetry groups plus a starting encoding.
+    #[derive(Debug, Clone)]
+    struct SymCase {
+        dims: Vec<Dims>,
+        constraints: ConstraintSet,
+        alpha: Vec<ModuleId>,
+        beta: Vec<ModuleId>,
+        /// Start from the canonical symmetric-feasible encoding instead.
+        canonical: bool,
+    }
+
+    /// Modules `0..2p` form `p` pairs with matched dims, the next `s` are
+    /// self-symmetric; pairs and cells are dealt round-robin over one or two
+    /// groups; the remaining modules are free.
+    fn arb_symmetric_case() -> impl Strategy<Value = (SymCase, Vec<(SymStep, bool)>)> {
+        (3usize..12)
+            .prop_flat_map(|n| {
+                let perm = || {
+                    Just((0..n).collect::<Vec<usize>>())
+                        .prop_shuffle()
+                        .prop_map(|v| v.into_iter().map(id).collect::<Vec<ModuleId>>())
+                };
+                let step = (0u8..3, 0usize..n, 0usize..n, 0u64..u64::MAX, 0u8..2).prop_map(
+                    |(kind, i, j, seed, accept)| {
+                        let step = match kind {
+                            0 => SymStep::Swap(i, j),
+                            1 => SymStep::SfMove(seed),
+                            _ => SymStep::RotateFree(i),
+                        };
+                        (step, accept == 1)
+                    },
+                );
+                (
+                    (Just(n), 0usize..=n / 2, 0usize..=n, 1usize..=2),
+                    proptest::collection::vec((4i64..40, 4i64..40), n),
+                    (perm(), perm(), 0u8..2),
+                    proptest::collection::vec(step, 1..25),
+                )
+            })
+            .prop_map(
+                |((n, pairs, selfs, group_count), sizes, (alpha, beta, canonical), script)| {
+                    let canonical = canonical == 1;
+                    let selfs = selfs.min(n - 2 * pairs);
+                    let mut dims: Vec<Dims> =
+                        sizes.into_iter().map(|(w, h)| Dims::new(w, h)).collect();
+                    let mut groups: Vec<SymmetryGroup> =
+                        (0..group_count).map(|g| SymmetryGroup::new(format!("g{g}"))).collect();
+                    for k in 0..pairs {
+                        dims[2 * k + 1] = dims[2 * k];
+                        let g = &mut groups[k % group_count];
+                        *g = g.clone().with_pair(id(2 * k), id(2 * k + 1));
+                    }
+                    for k in 0..selfs {
+                        let g = &mut groups[(pairs + k) % group_count];
+                        *g = g.clone().with_self_symmetric(id(2 * pairs + k));
+                    }
+                    let mut constraints = ConstraintSet::new();
+                    for g in groups {
+                        if !g.members().is_empty() {
+                            constraints.add_symmetry_group(g);
+                        }
+                    }
+                    (SymCase { dims, constraints, alpha, beta, canonical }, script)
+                },
+            )
     }
 }

@@ -495,3 +495,59 @@ mod tests {
         assert_eq!(f.prefix_max(7), 10);
     }
 }
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn arb_bounded_case() -> impl Strategy<Value = (SequencePair, Vec<Dims>, LowerBounds)> {
+        (1usize..14)
+            .prop_flat_map(|n| {
+                let perm = || {
+                    Just((0..n).collect::<Vec<usize>>())
+                        .prop_shuffle()
+                        .prop_map(|v| v.into_iter().map(ModuleId::from_index).collect::<Vec<_>>())
+                };
+                (
+                    perm(),
+                    perm(),
+                    proptest::collection::vec((1i64..60, 1i64..60), n),
+                    proptest::collection::vec((0i64..200, 0i64..200), n),
+                )
+            })
+            .prop_map(|(alpha, beta, sizes, raw_bounds)| {
+                let sp = SequencePair::from_sequences(alpha, beta).expect("same module set");
+                let dims = sizes.into_iter().map(|(w, h)| Dims::new(w, h)).collect();
+                // about half the modules carry a bound on each axis
+                let mut bounds = LowerBounds::empty(raw_bounds.len());
+                for (i, (bx, by)) in raw_bounds.into_iter().enumerate() {
+                    bounds.min_x[i] = if bx % 2 == 0 { bx } else { 0 };
+                    bounds.min_y[i] = if by % 2 == 0 { by } else { 0 };
+                }
+                (sp, dims, bounds)
+            })
+    }
+
+    proptest! {
+        /// A bounded pack keeps every constraint-graph relation of the
+        /// sequence pair, so it is at least as wide and as tall as the plain
+        /// pack, whose extents are the longest chains — measured from the
+        /// origin and across its bounding box alike. The hot evaluator's
+        /// islands-first area bound rests on this.
+        #[test]
+        fn bounded_pack_is_never_smaller_than_the_plain_pack(
+            (sp, dims, bounds) in arb_bounded_case()
+        ) {
+            let plain = pack_lcs(&sp, &dims);
+            let bounded = pack_with_bounds_constraint_graph(&sp, &dims, &bounds);
+            prop_assert!(bounded.width() >= plain.width());
+            prop_assert!(bounded.height() >= plain.height());
+            let bbox = bounded.rects()[1..]
+                .iter()
+                .fold(bounded.rects()[0].1, |b, (_, r)| b.union(r));
+            prop_assert!(bbox.width() >= plain.width());
+            prop_assert!(bbox.height() >= plain.height());
+        }
+    }
+}

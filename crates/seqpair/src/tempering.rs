@@ -11,7 +11,8 @@
 //! the swap schedule from one serial pinned-seed RNG, so a run is a pure
 //! function of its configuration — bit-identical at any worker thread count.
 
-use crate::anneal::{SeqPairPlacer, SeqPairPlacerConfig, SymmetryMode};
+use crate::anneal::{emit_legalise_counts, SeqPairPlacer, SeqPairPlacerConfig, SymmetryMode};
+use crate::hot::LegaliseCounts;
 use crate::SequencePair;
 use apls_anneal::tempering::{run_tempering_traced, TemperingConfig, TemperingStats};
 use apls_anneal::Schedule;
@@ -157,6 +158,11 @@ impl<'a> TemperingSeqPairPlacer<'a> {
             schedule: config.schedule,
         };
         let (states, stats) = run_tempering_traced(states, &tempering, telemetry);
+        let mut counts = LegaliseCounts::default();
+        for state in &states {
+            counts += state.legalise_counts();
+        }
+        emit_legalise_counts(telemetry, counts);
 
         let winner = &states[stats.best_replica];
         let best_sp = winner.best.clone().map(|(sp, _)| sp).unwrap_or_else(|| winner.sp.clone());

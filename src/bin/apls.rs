@@ -8,6 +8,7 @@
 //! apls --list
 //! apls --circuit miller_opamp_fig6 --restarts 8 --seed 42 --json report.json --svg best.svg
 //! apls --circuit folded_cascode --engine hbtree --restarts 4 --fast
+//! apls --file examples/circuits/folded_cascode.apls --fast
 //! ```
 //!
 //! Subcommands expose the `.apls` circuit format and the placement service:
@@ -21,7 +22,7 @@
 //! apls gen --modules 200 --seed 9 --out big.apls
 //! ```
 
-use analog_layout_synthesis::circuit::benchmarks::{self, GeneratorConfig};
+use analog_layout_synthesis::circuit::benchmarks::{self, BenchmarkCircuit, GeneratorConfig};
 use analog_layout_synthesis::io::{parse_circuit, serialize_circuit};
 use analog_layout_synthesis::portfolio::{
     run_portfolio_traced, EarlyStop, PortfolioConfig, PortfolioEngine,
@@ -47,8 +48,14 @@ fn cli() -> Command {
                 .long("circuit")
                 .short('c')
                 .value_name("NAME")
-                .default_value("miller_opamp_fig6")
-                .help("Benchmark circuit to place (see --list)"),
+                .help("Benchmark circuit to place (see --list; default miller_opamp_fig6)"),
+        )
+        .arg(
+            Arg::new("file")
+                .long("file")
+                .short('f')
+                .value_name("FILE")
+                .help("Circuit to place from a .apls file (instead of --circuit)"),
         )
         .arg(
             Arg::new("engine")
@@ -790,21 +797,26 @@ fn run_submit(matches: &ArgMatches) -> Result<(), String> {
     }
 }
 
-fn run_convert(matches: &ArgMatches) -> Result<(), String> {
-    let circuit = match (matches.get_one::<String>("circuit"), matches.get_one::<String>("in")) {
-        (Some(_), Some(_)) => return Err("--circuit and --in are mutually exclusive".to_string()),
-        (Some(name), None) => benchmarks::by_name(name).ok_or_else(|| {
+/// The circuit named by `--circuit` or read from the `.apls` file given by
+/// `--{file_flag}` (at most one of the two), or `None` when neither is given.
+fn load_circuit(matches: &ArgMatches, file_flag: &str) -> Result<Option<BenchmarkCircuit>, String> {
+    match (matches.get_one::<String>("circuit"), matches.get_one::<String>(file_flag)) {
+        (Some(_), Some(_)) => Err(format!("--circuit and --{file_flag} are mutually exclusive")),
+        (Some(name), None) => benchmarks::by_name(name).map(Some).ok_or_else(|| {
             format!("unknown circuit '{name}' (available: {})", benchmarks::names().join(", "))
-        })?,
+        }),
         (None, Some(path)) => {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            parse_circuit(&text).map_err(|e| format!("{path}:{e}"))?
+            parse_circuit(&text).map(Some).map_err(|e| format!("{path}:{e}"))
         }
-        (None, None) => {
-            return Err("convert needs an input: --circuit NAME or --in FILE.apls".to_string())
-        }
-    };
+        (None, None) => Ok(None),
+    }
+}
+
+fn run_convert(matches: &ArgMatches) -> Result<(), String> {
+    let circuit = load_circuit(matches, "in")?
+        .ok_or("convert needs an input: --circuit NAME or --in FILE.apls")?;
     let out = matches.get_one::<String>("out").expect("defaulted");
     write_output(out, &serialize_circuit(&circuit), &format!("circuit '{}'", circuit.name))
 }
@@ -856,10 +868,10 @@ fn run_default(matches: &ArgMatches) -> Result<(), String> {
         return Ok(());
     }
 
-    let circuit_name = matches.get_one::<String>("circuit").expect("defaulted");
-    let circuit = benchmarks::by_name(circuit_name).ok_or_else(|| {
-        format!("unknown circuit '{circuit_name}' (available: {})", benchmarks::names().join(", "))
-    })?;
+    let circuit = match load_circuit(matches, "file")? {
+        Some(circuit) => circuit,
+        None => benchmarks::by_name("miller_opamp_fig6").expect("bundled"),
+    };
 
     let restarts: usize = parse_number(matches.get_one::<String>("restarts"), "--restarts")?;
     let seed: u64 = parse_number(matches.get_one::<String>("seed"), "--seed")?;
